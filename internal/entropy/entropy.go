@@ -135,6 +135,44 @@ func NoiseMinEntropy(oneProbs []float64) (float64, error) {
 	return sum / float64(len(oneProbs)), nil
 }
 
+// NoiseMinEntropyFromCountsInto is NoiseMinEntropy(ProbabilitiesFromCounts(
+// counts, n)) bit for bit. A cell's contribution depends only on its
+// one-count, so it is tabulated once per count value 0..n — with the
+// oracle's own float64(c)*inv rounding and max/log expression — and the
+// table is summed in cell order: n+1 logarithms instead of one per cell.
+// The table lives in scratch's storage when it has the capacity; the
+// storage used is returned for reuse on the next call.
+func NoiseMinEntropyFromCountsInto(scratch []float64, counts []int, n int) (float64, []float64, error) {
+	if len(counts) == 0 || n <= 0 {
+		return 0, scratch, ErrNoMeasurements
+	}
+	if cap(scratch) < n+1 {
+		scratch = make([]float64, n+1)
+	}
+	tbl := scratch[:n+1]
+	inv := 1 / float64(n)
+	for c := range tbl {
+		p := float64(c) * inv
+		m := p
+		if 1-p > m {
+			m = 1 - p
+		}
+		tbl[c] = 0
+		if m < 1 {
+			tbl[c] = -math.Log2(m)
+		}
+	}
+	sum := 0.0
+	for _, c := range counts {
+		// A count outside 0..n gives the oracle max(p, 1-p) > 1, which
+		// contributes nothing; skipping it keeps the two paths equal.
+		if uint(c) <= uint(n) {
+			sum += tbl[c]
+		}
+	}
+	return sum / float64(len(counts)), tbl, nil
+}
+
 // PUFMinEntropy returns the average per-bit PUF min-entropy
 // (H_min,PUF)_avg = (1/n) sum_i -log2(max(p_i0, p_i1)) where the bit
 // probabilities are estimated ACROSS devices from one pattern per device

@@ -270,3 +270,53 @@ func BenchmarkOneProbabilities(b *testing.B) {
 		}
 	}
 }
+
+// TestNoiseMinEntropyFromCountsBitIdentical: the count-table fold equals
+// the probability-path oracle bit for bit for every window size n in
+// 1..1100 — with random, all-0, all-n and every-value counts (n = 49, where
+// float64(n)*(1/float64(n)) != 1, among them) — including arrays with
+// fewer cells than count values, where most of the table goes unused.
+func TestNoiseMinEntropyFromCountsBitIdentical(t *testing.T) {
+	r := rng.New(13)
+	for n := 1; n <= 1100; n++ {
+		random := make([]int, 2048)
+		for i := range random {
+			random[i] = r.Intn(n + 1)
+		}
+		zeros := make([]int, 2048)
+		full := make([]int, 2048)
+		for i := range full {
+			full[i] = n
+		}
+		every := make([]int, 2*(n+1)) // each count value twice
+		for i := range every {
+			every[i] = i % (n + 1)
+		}
+		short := random[:n/2+1] // fewer cells than count values
+		for name, counts := range map[string][]int{
+			"random": random, "all-0": zeros, "all-n": full, "every": every, "short": short,
+		} {
+			probs, err := ProbabilitiesFromCounts(counts, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NoiseMinEntropy(probs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := NoiseMinEntropyFromCountsInto(nil, counts, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d %s counts: %v, want %v", n, name, got, want)
+			}
+		}
+	}
+	if _, _, err := NoiseMinEntropyFromCountsInto(nil, nil, 5); err != ErrNoMeasurements {
+		t.Fatalf("no cells: err = %v", err)
+	}
+	if _, _, err := NoiseMinEntropyFromCountsInto(nil, []int{0}, 0); err != ErrNoMeasurements {
+		t.Fatalf("no measurements: err = %v", err)
+	}
+}

@@ -42,12 +42,17 @@ func (a *WCHD) Add(m *bitvec.Vector) error {
 	if err != nil {
 		return fmt.Errorf("stream: measurement %d: %w", a.count, err)
 	}
+	a.addFraction(f)
+	return nil
+}
+
+// addFraction folds one fractional distance.
+func (a *WCHD) addFraction(f float64) {
 	a.sum += f
 	if f > a.max {
 		a.max = f
 	}
 	a.count++
-	return nil
 }
 
 // Count returns the number of measurements consumed.
@@ -81,9 +86,24 @@ func NewFHW() *FHW { return &FHW{} }
 
 // Add folds one measurement.
 func (a *FHW) Add(m *bitvec.Vector) error {
-	a.sum += m.FractionalHammingWeight()
-	a.count++
+	a.addFraction(m.FractionalHammingWeight())
 	return nil
+}
+
+// addFraction folds one fractional weight.
+func (a *FHW) addFraction(f float64) {
+	a.sum += f
+	a.count++
+}
+
+// fraction is k/n with bitvec's rounding and its 0 for an empty vector,
+// so metrics fed from Device's Hamming pass keep the bits of the
+// per-vector FractionalHammingDistance/FractionalHammingWeight.
+func fraction(k, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(k) / float64(n)
 }
 
 // Count returns the number of measurements consumed.
@@ -98,14 +118,37 @@ func (a *FHW) Mean() (float64, error) {
 }
 
 // Ones accumulates per-cell one-counts — the streaming form of
-// entropy.OneProbabilities — from which the noise min-entropy (§IV-C2)
-// and the one-probability map derive. State is one int per cell,
-// independent of the window size.
+// entropy.OneCounts — from which the noise min-entropy (§IV-C2) and the
+// one-probability map derive. State is independent of the window size:
+// one int per cell in counts plus one 8-bit lane counter per cell in
+// lanes. Add never touches counts; it adds each measurement word into
+// eight lane words, one per byte of cells, each holding that byte's eight
+// cells as 8-bit counters. Invariant: a cell's one-count is its counts
+// entry plus its lane byte, and no lane byte exceeds pending, the Adds
+// since the last fold — the lanes are folded into counts (and cleared)
+// after every 255th Add, so a byte never overflows, and before every
+// read, so every reader sees plain exact integers.
 type Ones struct {
-	counts []int
-	count  int
-	probs  []float64 // Probabilities scratch, reused across calls
+	counts  []int       // len = cells; cap padded to whole 64-cell words
+	lanes   [][8]uint64 // per measurement word: byte k of cells in lanes[wi][k]
+	pending int         // Adds since the last fold, < 255
+	count   int
+	scratch []float64 // Probabilities / NoiseMinEntropy scratch, reused across calls
 }
+
+// laneFold is the number of Adds an 8-bit lane counter can absorb.
+const laneFold = 255
+
+// spread maps a byte of cells to a lane word holding one 0/1 counter per
+// cell: bit j of the byte lands in byte j of the word.
+var spread = func() (t [256]uint64) {
+	for b := range t {
+		for j := 0; j < 8; j++ {
+			t[b] |= uint64(b>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
 
 // NewOnes returns a one-count accumulator; the cell count is fixed by the
 // first measurement.
@@ -113,20 +156,71 @@ func NewOnes() *Ones { return &Ones{} }
 
 // Add folds one measurement.
 func (a *Ones) Add(m *bitvec.Vector) error {
+	if err := a.size(m); err != nil {
+		return err
+	}
+	a.add(m.Words())
+	return nil
+}
+
+// size fixes the cell count on the first measurement and rejects any
+// later measurement of a different length.
+func (a *Ones) size(m *bitvec.Vector) error {
 	if a.counts == nil {
-		a.counts = make([]int, m.Len())
+		words := len(m.Words())
+		a.counts = make([]int, 64*words)[:m.Len()]
+		a.lanes = make([][8]uint64, words)
 	}
 	if m.Len() != len(a.counts) {
 		return fmt.Errorf("stream: measurement %d has %d bits, want %d", a.count, m.Len(), len(a.counts))
 	}
-	for wi, w := range m.Words() {
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			a.counts[base+bits.TrailingZeros64(w)]++
-		}
+	return nil
+}
+
+// add counts one measurement, given as words of an already sized
+// measurement, into the lanes.
+func (a *Ones) add(words []uint64) {
+	lanes := a.lanes[:len(words)]
+	for wi, w := range words {
+		l := &lanes[wi]
+		l[0] += spread[byte(w)]
+		l[1] += spread[byte(w>>8)]
+		l[2] += spread[byte(w>>16)]
+		l[3] += spread[byte(w>>24)]
+		l[4] += spread[byte(w>>32)]
+		l[5] += spread[byte(w>>40)]
+		l[6] += spread[byte(w>>48)]
+		l[7] += spread[byte(w>>56)]
 	}
 	a.count++
-	return nil
+	if a.pending++; a.pending == laneFold {
+		a.fold()
+	}
+}
+
+// fold moves the lane counters into counts and clears them.
+func (a *Ones) fold() {
+	if a.pending == 0 {
+		return
+	}
+	counts := a.counts[:cap(a.counts)] // padding cells' lanes stay zero
+	for wi := range a.lanes {
+		for k, l := range a.lanes[wi] {
+			c := counts[wi*64+k*8 : wi*64+k*8+8]
+			for j := range c {
+				c[j] += int(l >> (8 * j) & 0xff)
+			}
+		}
+		a.lanes[wi] = [8]uint64{}
+	}
+	a.pending = 0
+}
+
+// oneCounts returns the exact per-cell one-counts, folding first. The
+// slice is the accumulator's own and changes with the next Add.
+func (a *Ones) oneCounts() []int {
+	a.fold()
+	return a.counts
 }
 
 // Count returns the number of measurements consumed.
@@ -142,23 +236,26 @@ func (a *Ones) Probabilities() ([]float64, error) {
 	if a.count == 0 {
 		return nil, ErrNoMeasurements
 	}
-	probs, err := entropy.ProbabilitiesFromCountsInto(a.probs, a.counts, a.count)
+	probs, err := entropy.ProbabilitiesFromCountsInto(a.scratch, a.oneCounts(), a.count)
 	if err != nil {
 		return nil, err
 	}
-	a.probs = probs
+	a.scratch = probs
 	return probs, nil
 }
 
 // NoiseMinEntropy returns the window's average per-bit noise min-entropy,
-// delegating the final fold to the entropy oracle over the streaming
-// one-probabilities.
+// bit-identical to the entropy oracle over the streaming
+// one-probabilities but folded straight from the counts
+// (entropy.NoiseMinEntropyFromCountsInto: one logarithm per count value, not
+// per cell).
 func (a *Ones) NoiseMinEntropy() (float64, error) {
-	probs, err := a.Probabilities()
-	if err != nil {
-		return 0, err
+	if a.count == 0 {
+		return 0, ErrNoMeasurements
 	}
-	return entropy.NoiseMinEntropy(probs)
+	h, scratch, err := entropy.NoiseMinEntropyFromCountsInto(a.scratch, a.oneCounts(), a.count)
+	a.scratch = scratch
+	return h, err
 }
 
 // StableRatio returns the fraction of stable cells: cells whose one-count
@@ -170,7 +267,7 @@ func (a *Ones) StableRatio() (float64, error) {
 	if a.count == 0 {
 		return 0, ErrNoMeasurements
 	}
-	return entropy.StableCellRatio(a.counts, a.count)
+	return entropy.StableCellRatio(a.oneCounts(), a.count)
 }
 
 // StableMask returns a fresh bitmap marking the stable cells — cells
@@ -202,7 +299,7 @@ func (a *Ones) StableMaskInto(dst *bitvec.Vector) error {
 	var word uint64
 	var nbits uint
 	wi := 0
-	for _, c := range a.counts {
+	for _, c := range a.oneCounts() {
 		if c == 0 || c == a.count {
 			word |= 1 << nbits
 		}
@@ -290,7 +387,9 @@ type DeviceResult struct {
 
 // Device is the composite per-device window accumulator: a reference
 // pattern, the window's first pattern, and the WCHD/FHW/Ones
-// accumulators, all updated in one pass. Total state is O(array size).
+// accumulators. Add reads the measurement's words once for both Hamming
+// counts and once more for the one-count lanes. Total state is O(array
+// size).
 type Device struct {
 	ref   *bitvec.Vector // month-0 reference; adopted from the first measurement when nil
 	first *bitvec.Vector // first measurement of THIS window (BCHD/PUF input)
@@ -324,13 +423,25 @@ func (d *Device) Add(m *bitvec.Vector) error {
 			}
 		}
 	}
-	if err := d.wchd.Add(m); err != nil {
+	n := m.Len()
+	if n != d.ref.Len() {
+		return fmt.Errorf("stream: measurement %d: %w: %d vs %d bits", d.wchd.count, bitvec.ErrLengthMismatch, d.ref.Len(), n)
+	}
+	if err := d.ones.size(m); err != nil {
 		return err
 	}
-	if err := d.fhw.Add(m); err != nil {
-		return err
+	// The Hamming weight and the distance to the reference in one pass:
+	// the same integers bitvec counts, so WCHD/FHW floats do not move.
+	words, ref := m.Words(), d.ref.Words()
+	hw, hd := 0, 0
+	for wi, w := range words {
+		hw += bits.OnesCount64(w)
+		hd += bits.OnesCount64(w ^ ref[wi])
 	}
-	return d.ones.Add(m)
+	d.wchd.addFraction(fraction(hd, n))
+	d.fhw.addFraction(fraction(hw, n))
+	d.ones.add(words)
+	return nil
 }
 
 // Count returns the number of measurements consumed.
@@ -458,24 +569,16 @@ func (c *Cross) Result() (CrossResult, error) {
 // because the engine folds devices in index order.
 func (c *Cross) resultLarge() (CrossResult, error) {
 	n := len(c.firsts)
-	nbits := c.firsts[0].Len()
-	words := len(c.firsts[0].Words())
-	counts := make([]int, 64*words)
+	ones := NewOnes()
 	for _, v := range c.firsts {
-		if v.Len() != nbits {
-			return CrossResult{}, fmt.Errorf("stream: cross pattern has %d bits, want %d", v.Len(), nbits)
-		}
-		for wi, w := range v.Words() {
-			base := wi << 6
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				counts[base+b]++
-			}
+		if err := ones.Add(v); err != nil {
+			return CrossResult{}, err
 		}
 	}
+	counts := ones.oneCounts()
+	nbits := len(counts)
 	var disagree float64
-	for _, cnt := range counts[:nbits] {
+	for _, cnt := range counts {
 		disagree += float64(cnt) * float64(n-cnt)
 	}
 	pairs := float64(n) * float64(n-1) / 2
@@ -498,7 +601,7 @@ func (c *Cross) resultLarge() (CrossResult, error) {
 	// PUF min-entropy's probability estimate is c/n per position — reuse
 	// the counts instead of re-walking the patterns.
 	var hmin float64
-	for _, cnt := range counts[:nbits] {
+	for _, cnt := range counts {
 		p := float64(cnt) / float64(n)
 		m := p
 		if 1-p > m {

@@ -89,3 +89,28 @@ func BenchmarkDeviceWindowStreaming250(b *testing.B)  { benchStreaming(b, 250) }
 func BenchmarkDeviceWindowStreaming1000(b *testing.B) { benchStreaming(b, 1000) }
 func BenchmarkDeviceWindowBatch250(b *testing.B)      { benchBatch(b, 250) }
 func BenchmarkDeviceWindowBatch1000(b *testing.B)     { benchBatch(b, 1000) }
+
+// BenchmarkOnesAdd times the per-cell one-count fold on its own: one op
+// is one Ones.Add of an SRAM-like power-up pattern (the ATmega32u4's
+// 8192-bit read-out window), cycling through pre-sampled patterns so the
+// sampling cost stays out of the measurement.
+func BenchmarkOnesAdd(b *testing.B) {
+	a := benchArray(b)
+	bits := a.Profile().ReadWindowBits()
+	window := make([]*bitvec.Vector, 64)
+	for k := range window {
+		window[k] = bitvec.New(bits)
+		if err := a.PowerUpWindowInto(window[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ones := NewOnes()
+	b.SetBytes(int64(bits / 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ones.Add(window[i%len(window)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,9 +6,9 @@
 // measurement into bounded state the moment it is produced.
 //
 // Memory per device-window is O(array size): a reference pattern, the
-// first pattern of the window, one per-cell one-count vector and one
-// per-cell flip bitmap — independent of how many measurements the window
-// holds. The batch functions in internal/metrics and internal/entropy
+// first pattern of the window, one per-cell one-count vector (with its
+// 8-bit lane counters) and one per-cell flip bitmap — independent of how
+// many measurements the window holds. The batch functions in internal/metrics and internal/entropy
 // remain the oracle: every accumulator is tested to produce bit-identical
 // results to its batch counterpart on identical inputs (identical float
 // operation order, identical integer tallies).
