@@ -23,8 +23,11 @@ import (
 // device's profile to the device's seed, replays its aging trajectory,
 // fast-forwards its noise stream past the windows earlier months
 // consumed (one cached rng.Jump, composed per measured month), and
-// samples normally. Resident array state is O(slots × profiles × array),
-// independent of the device count.
+// samples normally. The slot arrays are read windows
+// (sram.NewReadWindow): only the cells a power-up read-out samples are
+// built, reset and aged, so resident array state is
+// O(slots × profiles × read window), independent of the device count and
+// of the array size.
 //
 // The streams are bit-identical to the eager SimSource: chip derivation
 // is label-based and order-independent (rng.Derive never advances the
@@ -36,10 +39,12 @@ import (
 // would be.
 //
 // The trade: rebuilding replays every prior month's aging integration,
-// so a campaign of M evaluated months costs O(M²) aging work per device
-// instead of O(M). That is the right trade exactly where this source is
-// meant to run — huge populations over few months (screening), where
-// memory, not aging arithmetic, is the binding constraint.
+// so a campaign of M evaluated months costs O(M² × read window) aging
+// work per device instead of the eager source's O(M × array). That is
+// the right trade exactly where this source is meant to run — huge
+// populations over few months (screening), where memory, not aging
+// arithmetic, is the binding constraint — and the window scale keeps it
+// cheap wherever the read window is a small part of the array.
 type LazySimSource struct {
 	fleet       *Fleet
 	seed        uint64
@@ -61,10 +66,10 @@ type LazySimSource struct {
 	alive  int
 }
 
-// lazySlot is one worker slot's scratch: a reusable chip per fleet
-// profile, rebuilt in place for every device the slot measures, plus the
-// per-device derivation and measurement scratch that keeps the device
-// loop allocation-free.
+// lazySlot is one worker slot's scratch: a reusable read-window chip per
+// fleet profile, rebuilt in place for every device the slot measures,
+// plus the per-device derivation and measurement scratch that keeps the
+// device loop allocation-free.
 type lazySlot struct {
 	arrays  []*sram.Array
 	seed    rng.Source
@@ -308,7 +313,7 @@ func (s *LazySimSource) measureDevice(ctx context.Context, sl *lazySlot, d, mont
 	a := sl.arrays[pi]
 	if a == nil {
 		var err error
-		if a, err = sram.New(prof, &sl.seed); err != nil {
+		if a, err = sram.NewReadWindow(prof, &sl.seed); err != nil {
 			return err
 		}
 		sl.arrays[pi] = a

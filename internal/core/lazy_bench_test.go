@@ -13,7 +13,7 @@ import (
 // 100 000-device mixed fleet through the lazy source — measure a month,
 // prune the odd half (a screening decision), measure the next month over
 // the survivors. The gated quantity is bytes/op: the lazy source keeps
-// O(slots × profiles × array) chip state plus ~10 bytes of per-device
+// O(slots × profiles × read window) chip state plus ~10 bytes of per-device
 // metadata (index, profile byte, pruned flag), so the whole op allocates
 // a few MB where the eager source's up-front arrays would be O(devices ×
 // array). A regression that materialises per-device state shows up here
@@ -21,10 +21,10 @@ import (
 // million-device campaign.
 //
 // The fleet mixes both registered cell models on a deliberately tiny
-// geometry (32-byte arrays): rebuild cost scales with cells × devices
-// and would push a fleetnode-sized population past CI budgets, while the
-// memory property under gate — array state O(slots), metadata O(devices)
-// — is independent of the array size.
+// geometry (32-byte arrays with 16-byte read windows): rebuild cost
+// scales with read-window cells × devices, here 128 cells per rebuild,
+// while the memory property under gate — array state O(slots), metadata
+// O(devices) — is independent of the array size.
 func BenchmarkFleetScreening100k(b *testing.B) {
 	small, err := silicon.NewProfile("bench-iid",
 		silicon.WithGeometry(32, 16))
@@ -64,6 +64,43 @@ func BenchmarkFleetScreening100k(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := src.Measure(ctx, 1, 2, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLazyRebuild times one lazy device rebuild at the end of a
+// paper-length campaign, gated in CI against BENCH_baseline.json: a
+// fleetnode-2kb device (correlated model, 16384 cells, 256-cell read
+// window) whose source has already measured months 0..23 is Reset,
+// replayed through all 24 visited ages plus month 24, jumped past the
+// consumed noise and sampled for a 4-measurement window. This is the
+// per-device step that dominates lazy fleet screening, so its time is
+// gated (calibrated like every time-gated benchmark) and pins both the
+// read-window rebuild and the cost of the aging step.
+func BenchmarkLazyRebuild(b *testing.B) {
+	prof, err := silicon.Lookup("fleetnode-2kb")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := NewLazySimSource(prof, 1, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.SetWorkers(1)
+	const month, size = 24, 4
+	discard := Sink(func(int, *bitvec.Vector) error { return nil })
+	ctx := context.Background()
+	for m := 0; m < month; m++ {
+		if err := src.Measure(ctx, m, size, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	slot := src.slots[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.measureDevice(ctx, slot, 0, month, size, discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,9 +40,17 @@ type CellModel interface {
 
 	// SampleSkew fills one chip's per-cell static skew (noise-sigma
 	// units) and per-cell aging-rate dispersion draws (~N(0,1) marginal)
-	// from the manufacturing stream. len(static) == len(gamma) ==
+	// from the manufacturing stream. len(static) == len(gamma) <=
 	// p.Cells(). The fill is deterministic in mfg and must consume it in
 	// a stable order.
+	//
+	// Prefix contract: slices shorter than p.Cells() receive exactly the
+	// first len(static) values of the full fill — how a read-window chip
+	// (sram.NewReadWindow) builds only the cells it samples. A model
+	// meets it by drawing every value a cell depends on before that
+	// cell's own residuals and never reading ahead, and by deriving any
+	// structure (line boundaries, say) from the profile rather than from
+	// the slice length.
 	SampleSkew(p DeviceProfile, d DeviceParams, mfg *rng.Source, static, gamma []float64)
 
 	// AgingResponse returns the BTI kinetics and the aging-rate
@@ -155,11 +163,14 @@ func (m correlatedModel) SampleParams(p DeviceProfile, src *rng.Source) DevicePa
 // SampleSkew draws one shared (skew, dispersion) component pair per
 // cache line, then per-cell residuals, combining them with the
 // variance-preserving split √ρ·L + √(1−ρ)·ε. A trailing partial line
-// (cells not a multiple of LineBits) forms its own short line.
+// (cells not a multiple of LineBits) forms its own short line; LineBits
+// 0 makes the whole array one line. A line's shared pair is drawn
+// before its residuals, so a fill cut anywhere — inside a line too — is
+// the prefix of the full fill.
 func (correlatedModel) SampleSkew(p DeviceProfile, d DeviceParams, mfg *rng.Source, static, gamma []float64) {
 	line := p.LineBits
 	if line <= 0 {
-		line = len(static)
+		line = p.Cells()
 	}
 	shared := math.Sqrt(p.LineCorr)
 	resid := math.Sqrt(1 - p.LineCorr)

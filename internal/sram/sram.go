@@ -25,7 +25,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Array is one simulated SRAM chip instance.
+// Array is one simulated SRAM chip instance, or the read window of one
+// (NewReadWindow).
 type Array struct {
 	profile silicon.DeviceProfile
 	model   silicon.CellModel
@@ -66,6 +67,24 @@ type Array struct {
 // determines both the chip's process variation and its noise sequence;
 // the same seed always reproduces the same chip and measurement history.
 func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
+	return newArray(profile, seed, profile.Cells())
+}
+
+// NewReadWindow creates the read window of the chip New(profile, seed)
+// would build: only the first ReadWindowBits cells, the ones every
+// power-up read-out samples. Each per-cell quantity — skew, aging state,
+// one-probability and sampled bit — is bit-identical to the same cell of
+// the full chip at every step, because the cell model fills a shorter
+// slice with the prefix of the full fill and aging is per cell. Cells()
+// and every whole-array method (PowerUp, StableCellCount, Snapshot) then
+// cover the window only.
+func NewReadWindow(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
+	return newArray(profile, seed, profile.ReadWindowBits())
+}
+
+// newArray builds a chip holding the first n cells of profile's array;
+// n is read only after the profile validates.
+func newArray(profile silicon.DeviceProfile, seed *rng.Source, n int) (*Array, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,7 +92,6 @@ func New(profile silicon.DeviceProfile, seed *rng.Source) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := profile.Cells()
 	a := &Array{
 		profile:    profile,
 		model:      model,
@@ -141,7 +159,8 @@ func (a *Array) Profile() silicon.DeviceProfile { return a.profile }
 // Params returns this chip instance's sampled parameters.
 func (a *Array) Params() silicon.DeviceParams { return a.params }
 
-// Cells returns the number of SRAM bits.
+// Cells returns the number of SRAM bits the array holds: the whole array,
+// or the read window for an array built with NewReadWindow.
 func (a *Array) Cells() int { return len(a.static) }
 
 // AgeMonths returns the chip's current age in months.
@@ -202,21 +221,31 @@ func (a *Array) AgeTo(months float64) error {
 	if months == a.ageMonths {
 		return nil
 	}
-	k := a.kin
+	k := &a.kin
 	total := k.DriftIncrement(a.ageMonths, months)
 	if total > 0 {
 		steps := int(math.Ceil(total / maxDriftStep))
 		h := total / float64(steps)
 		b := a.disp
+		// The per-transistor split of one drift step is the same for
+		// every cell, so it is taken once here; the updates below are
+		// k.Resolve(q, h) written out, operand for operand.
+		nbti := h * k.NBTIShare
+		pbti := h * k.PBTIShare()
+		scale := a.noiseScale
+		static := a.static
+		dP1, dP2 := a.dP1[:len(static)], a.dP2[:len(static)]
+		dN1, dN2 := a.dN1[:len(static)], a.dN2[:len(static)]
+		dDisp, gamma := a.dDisp[:len(static)], a.gamma[:len(static)]
 		for s := 0; s < steps; s++ {
-			for i := range a.static {
-				q := stats.PhiFast(a.Skew(i) / a.noiseScale)
-				inc := k.Resolve(q, h)
-				a.dP1[i] += inc.P1
-				a.dP2[i] += inc.P2
-				a.dN1[i] += inc.N1
-				a.dN2[i] += inc.N2
-				a.dDisp[i] += b * a.gamma[i] * h
+			for i := range static {
+				skew := static[i] + (dP2[i] - dP1[i]) + (dN1[i] - dN2[i]) + dDisp[i]
+				q := stats.PhiFast(skew / scale)
+				dP1[i] += nbti * q
+				dP2[i] += nbti * (1 - q)
+				dN1[i] += pbti * (1 - q)
+				dN2[i] += pbti * q
+				dDisp[i] += b * gamma[i] * h
 			}
 		}
 	}
